@@ -11,10 +11,11 @@
 use disparity_core::disparity::{
     worst_case_disparity, worst_case_disparity_direct, AnalysisConfig, DisparityReport,
 };
-use disparity_core::engine::AnalysisEngine;
+use disparity_core::engine::{AnalysisEngine, PAR_THRESHOLD};
 use disparity_core::pairwise::{pairwise_bound, theorem1_bound, theorem2_bound, Method};
 use disparity_core::sentinel::{self, ChainEvidence, RunEvidence, TaskEvidence};
 use disparity_model::graph::CauseEffectGraph;
+use disparity_model::ids::TaskId;
 use disparity_model::time::Duration;
 use disparity_rng::rngs::StdRng;
 use disparity_sched::schedulability::analyze;
@@ -175,6 +176,98 @@ fn engine_matches_direct_theorems_on_funnel_graphs() {
         }
     }
     assert!(checked >= 4, "too few schedulable funnel draws ({checked})");
+}
+
+/// A generated WATERS graph of more than 64 tasks and a task on it whose
+/// pair count reaches the engine's spawn threshold (capped at three times
+/// the threshold to keep the direct oracle quick): the first such task
+/// over a fixed seed sequence.
+fn large_case() -> (CauseEffectGraph, ResponseTimes, TaskId) {
+    for seed in 1..=20u64 {
+        let Some(graph) = waters_graph(72, seed) else {
+            continue;
+        };
+        let rt = analyze(&graph).expect("schedulable").into_response_times();
+        let found = graph.tasks().iter().map(|t| t.id()).find(|&t| {
+            graph.chains_to(t, CHAIN_LIMIT).is_ok_and(|c| {
+                let pairs = c.len() * c.len().saturating_sub(1) / 2;
+                (PAR_THRESHOLD..=3 * PAR_THRESHOLD).contains(&pairs)
+            })
+        });
+        if let Some(task) = found {
+            return (graph, rt, task);
+        }
+    }
+    panic!("no generated graph reaches the spawn threshold");
+}
+
+/// `true` when some chunk boundary of a `workers`-way split of the pair
+/// triangle of `n` chains falls inside a row, so a worker starts (and its
+/// scratch first focuses) mid-row.
+fn splits_a_row(n: usize, workers: usize) -> bool {
+    let pairs = n * (n - 1) / 2;
+    let chunk = pairs.div_ceil(workers);
+    let row_starts: Vec<usize> = (0..n).map(|i| i * n - i * (i + 1) / 2).collect();
+    (chunk..pairs)
+        .step_by(chunk)
+        .any(|b| !row_starts.contains(&b))
+}
+
+/// The parallel pair loop on a graph of more than 64 tasks: odd and even
+/// worker counts cut the pair triangle mid-row, so every worker's scratch
+/// must focus on a row it did not start, and the result must still equal
+/// the direct oracle byte for byte.
+#[test]
+fn parallel_chunks_match_direct_on_a_large_graph() {
+    let (graph, rt, task) = large_case();
+    assert!(graph.task_count() > 64);
+    let n = graph.chains_to(task, CHAIN_LIMIT).expect("chain budget").len();
+    for method in METHODS {
+        let config = AnalysisConfig {
+            method,
+            chain_limit: CHAIN_LIMIT,
+        };
+        let direct = worst_case_disparity_direct(&graph, task, &rt, config).expect("direct");
+        for workers in [1, 2, 3, 5, 7] {
+            assert!(workers == 1 || splits_a_row(n, workers), "workers={workers}");
+            let report = AnalysisEngine::new(&graph, &rt)
+                .with_workers(workers)
+                .worst_case_disparity(task, config)
+                .expect("engine analysis");
+            assert_reports_identical(
+                &report,
+                &direct,
+                &format!("large/{method:?}/workers={workers}"),
+            );
+        }
+    }
+}
+
+/// One engine analyzes every task of a graph of more than 64 tasks in
+/// turn. Each sink's pair loop starts from fresh positions, so positions
+/// left over from the previous sink cannot leak into the next report.
+#[test]
+fn analyze_all_tasks_on_one_engine_matches_direct_per_sink() {
+    let (graph, rt, _) = large_case();
+    let config = AnalysisConfig {
+        method: Method::Combined,
+        chain_limit: 96,
+    };
+    for workers in [1, 3] {
+        let engine = AnalysisEngine::new(&graph, &rt).with_workers(workers);
+        let (reports, skipped) = engine.analyze_all_tasks(config).expect("engine");
+        assert!(reports.len() >= 8, "too few analyzed sinks ({})", reports.len());
+        assert!(!skipped.is_empty(), "the chain limit leaves some sinks out");
+        for report in &reports {
+            let direct =
+                worst_case_disparity_direct(&graph, report.task, &rt, config).expect("direct");
+            assert_reports_identical(
+                report,
+                &direct,
+                &format!("all-tasks/workers={workers}/task={}", report.task),
+            );
+        }
+    }
 }
 
 /// Replays a simulated run through the sentinel twice — once with the

@@ -49,8 +49,8 @@ pub mod recorder;
 pub mod window;
 
 pub use metrics::{
-    counter_add, observe, observe_duration, snapshot, Histogram, HistogramSummary,
-    MetricsSnapshot,
+    counter_add, merge_histogram, observe, observe_duration, snapshot, Histogram,
+    HistogramSummary, MetricsSnapshot,
 };
 pub use recorder::{
     current_trace, disable, enable, format_trace_id, is_enabled, record_span, reset, span,

@@ -72,6 +72,26 @@ pub fn observe(name: &str, value: i64) {
     });
 }
 
+/// Fold a locally accumulated histogram into the registry histogram
+/// `name`, creating it if needed. Hot loops record into a private
+/// [`Histogram`] and flush once per batch through this, taking the
+/// registry lock once instead of once per sample. The registry ends up
+/// with the same buckets, count, min and max as per-sample [`observe`]
+/// calls, and the same sum unless it saturates. An empty `local` is
+/// ignored (no entry is created). No-op while recording is disabled.
+pub fn merge_histogram(name: &str, local: &Histogram) {
+    if !is_enabled() || local.count == 0 {
+        return;
+    }
+    with_registry(|reg| {
+        if let Some(h) = reg.histograms.get_mut(name) {
+            h.merge(local);
+        } else {
+            reg.histograms.insert(name.to_owned(), local.clone());
+        }
+    });
+}
+
 /// Record a duration (as nanoseconds) into the histogram `name`.
 /// No-op while recording is disabled.
 pub fn observe_duration(name: &str, duration: disparity_model::time::Duration) {

@@ -6,7 +6,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use disparity_obs::{
-    counter_add, disable, enable, observe, reset, snapshot, span, take_spans,
+    counter_add, disable, enable, merge_histogram, observe, reset, snapshot, span, take_spans,
+    Histogram,
 };
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -32,11 +33,52 @@ fn disabled_path_is_a_no_op() {
     }
     counter_add("never.counter", 3);
     observe("never.histogram", 42);
+    let mut local = Histogram::new();
+    local.record(42);
+    merge_histogram("never.merged", &local);
 
     assert!(take_spans().is_empty());
     let snap = snapshot();
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
+}
+
+#[test]
+fn merged_histogram_equals_per_sample_observes() {
+    let _guard = exclusive();
+    clean_slate();
+    enable();
+
+    let samples = [-3_i64, 0, 1, 7, 8, 1_000, 65_536, 7];
+    for &v in &samples {
+        observe("per.sample", v);
+    }
+    // Same samples split over two local batches, one flushed into an
+    // existing registry entry and one creating it.
+    let (first, second) = samples.split_at(3);
+    let mut local = Histogram::new();
+    for &v in first {
+        local.record(v);
+    }
+    merge_histogram("batched", &local);
+    let mut local = Histogram::new();
+    for &v in second {
+        local.record(v);
+    }
+    merge_histogram("batched", &local);
+    merge_histogram("never.created", &Histogram::new());
+
+    let snap = snapshot();
+    clean_slate();
+    let summary = |name: &str| {
+        snap.histograms
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| *s)
+    };
+    assert_eq!(summary("batched"), summary("per.sample"));
+    assert!(summary("batched").is_some());
+    assert_eq!(summary("never.created"), None, "empty merges create nothing");
 }
 
 #[test]

@@ -34,14 +34,25 @@ cargo bench --workspace --no-run
 echo "==> engine cache-consistency (memoized engine vs direct theorems)"
 cargo test -p disparity-core --release --test engine_consistency -q
 
-echo "==> pairwise_engine bench smoke (cached vs uncached, bit-identical reports)"
+echo "==> benchgate (pairwise_engine vs committed baseline + the cached<=15% proof)"
+ensure_fresh benchgate disparity-bench
+rm -f target/bench-engine.json
 # Bench binaries run from the package directory, so the report path must
-# be absolute (see scripts/perf_snapshot.sh).
-DISPARITY_BENCH_JSON="$(pwd)/target/bench-engine.json" \
+# be absolute (see scripts/perf_snapshot.sh). The bench itself asserts
+# bit-identical cached and uncached reports before timing either.
+DISPARITY_BENCH_FULL=1 DISPARITY_BENCH_JSON="$(pwd)/target/bench-engine.json" \
     cargo bench -p disparity-bench --bench pairwise_engine
 test -s target/bench-engine.json
 grep -q 'pairwise_engine/sink_analysis/cached' target/bench-engine.json
 grep -q 'pairwise_engine/sink_analysis/uncached' target/bench-engine.json
+./target/release/benchgate --baseline BENCH_engine_baseline.json \
+    --current target/bench-engine.json --stat min --prefix bench.pairwise_engine
+# The kernel's claim, re-proven on this machine's own run: the memoized
+# engine analyzes the WATERS n=35 sink in at most 15% of the direct
+# path's time (threshold -85% = cached must be <=15% of uncached).
+./target/release/benchgate --baseline target/bench-engine.json \
+    --current target/bench-engine.json --stat min --threshold-pct -85 \
+    --metric "bench.pairwise_engine/sink_analysis/cached/35=bench.pairwise_engine/sink_analysis/uncached/35"
 
 echo "==> benchgate (obs_overhead + service_requests vs committed baselines)"
 ensure_fresh benchgate disparity-bench
